@@ -430,7 +430,6 @@ struct Campaign {
     restarts: usize,
     supervised: bool,
     last_error: Option<String>,
-    result: Option<CampaignResult>,
 }
 
 /// The multiplexing coordinator: owns every campaign, advances them
@@ -513,13 +512,11 @@ impl ControlPlane {
             restarts: 0,
             supervised,
             last_error: None,
-            result: None,
         };
         // A checkpoint of an already-finished campaign creates it in
         // its terminal state so Status/Stream answer immediately.
         if finished {
             campaign.state = CampaignState::Finished;
-            campaign.result = Some(Self::engine_result(&campaign.engine));
         }
         self.log.record(ControlEvent::CampaignCreated { id });
         self.campaigns.insert(id.0, campaign);
@@ -643,9 +640,13 @@ impl ControlPlane {
         })
     }
 
-    /// Terminal result of `id`, if it finished.
-    pub fn result(&self, id: CampaignId) -> Option<&CampaignResult> {
-        self.campaigns.get(&id.0)?.result.as_ref()
+    /// Terminal result of `id`, if it finished. Built from the
+    /// finished engine on each call rather than stored beside it: the
+    /// plane keeps every campaign it has served, and the engine already
+    /// holds everything the result contains.
+    pub fn result(&self, id: CampaignId) -> Option<CampaignResult> {
+        let c = self.campaigns.get(&id.0)?;
+        (c.state == CampaignState::Finished).then(|| Self::engine_result(&c.engine))
     }
 
     /// Last recorded fault of `id`, if it ever failed.
@@ -808,7 +809,6 @@ impl ControlPlane {
                     // Nothing left to plan: the campaign is finished.
                     c.state = CampaignState::Finished;
                     let result = Self::engine_result(&c.engine);
-                    c.result = Some(result.clone());
                     self.log.record(ControlEvent::CampaignFinished { id });
                     notices.push(CampaignNotice::Finished { id, result });
                     return;
@@ -872,7 +872,6 @@ impl ControlPlane {
                 if finished {
                     c.state = CampaignState::Finished;
                     let result = Self::engine_result(&c.engine);
-                    c.result = Some(result.clone());
                     self.log.record(ControlEvent::CampaignFinished { id });
                     notices.push(CampaignNotice::Finished { id, result });
                 }

@@ -5,7 +5,8 @@
 //! The server is a single readiness loop over the [`Transport`] seam —
 //! epoll-style without external deps. Each sweep it (1) accepts any
 //! waiting TCP client, (2) polls every session for at most one request
-//! with a bounded [`Transport::recv_deadline`] wait, (3) advances the
+//! with [`Transport::recv_deadline`] — a zero-wait poll while campaigns
+//! are runnable, a short bounded wait when idle — (3) advances the
 //! [`ControlPlane`] a few scheduling quanta (fair-share dispatch of the
 //! least-served campaign), and (4) fans completed rounds and terminal
 //! results out to the sessions streaming them. One slow or silent
@@ -40,10 +41,8 @@ use crate::protocol::{decode, Event, Request};
 use crate::transport::{send_msg, RecvOutcome, TcpTransport, Transport};
 use crate::{ServeError, ShardedBackend, TransportError};
 
-/// Bounded wait per session poll while campaign work is pending.
-const POLL_BUSY: Duration = Duration::from_millis(1);
-
-/// Bounded wait per session poll when the plane is idle.
+/// Bounded wait per session poll when nothing is runnable. Busy polls
+/// never wait; see `run_loop`.
 const POLL_IDLE: Duration = Duration::from_millis(10);
 
 /// Control-plane quanta dispatched per sweep: enough to amortize the
@@ -193,6 +192,13 @@ impl CampaignServer {
 
     /// The readiness loop: accept, poll, dispatch, fan out — until all
     /// sessions end (no listener) or a client requests shutdown.
+    ///
+    /// While campaigns are runnable, session polls pass a zero wait.
+    /// Streaming clients are silent, and a timed TCP wait is
+    /// `SO_RCVTIMEO`, which the kernel rounds up to whole scheduler
+    /// ticks: any timed wait here would stall every sweep for several
+    /// ms with no job dispatched. With nothing runnable each poll waits
+    /// up to `POLL_IDLE` instead of spinning.
     fn run_loop<'a>(
         &self,
         mut sessions: Vec<Session<'a>>,
@@ -213,7 +219,7 @@ impl CampaignServer {
                 self.accept_clients(listener, &mut sessions, &mut next_sid)?;
             }
             let timeout = if plane.has_runnable() {
-                POLL_BUSY
+                Duration::ZERO
             } else {
                 POLL_IDLE
             };
@@ -457,9 +463,8 @@ impl CampaignServer {
             CampaignState::Finished => {
                 let result = plane
                     .result(id)
-                    // audit: allow(panic_policy, the Finished state implies a stored result)
-                    .expect("a finished campaign has a result")
-                    .clone();
+                    // audit: allow(panic_policy, result is Some exactly when the state is Finished)
+                    .expect("a finished campaign has a result");
                 self.send_or_fail(plane, session, &Event::CampaignFinished { id, result });
             }
             CampaignState::Cancelled => {

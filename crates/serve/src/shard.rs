@@ -354,9 +354,13 @@ impl ShardedBackend {
     /// Without this, loss detection is purely *closure*-based: a shard
     /// whose process wedges while its socket stays open stalls the
     /// campaign forever.
+    ///
+    /// `timeout` is raised to at least 1 ms. A zero wait would be a
+    /// [`Transport::recv_deadline`] poll, which writes off every shard
+    /// whose reply is not already readable.
     #[must_use]
     pub fn with_loss_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.loss_timeout = Some(timeout);
+        self.loss_timeout = Some(timeout.max(std::time::Duration::from_millis(1)));
         self
     }
 

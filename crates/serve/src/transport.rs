@@ -88,25 +88,21 @@ pub trait Transport: Send {
     /// Returns [`TransportError`] on broken pipes or I/O failure.
     fn recv(&mut self) -> Result<Option<String>, TransportError>;
 
-    /// Waits for the next line at most `timeout`; a transport that can
-    /// bound its wait reports [`RecvOutcome::TimedOut`] when the
-    /// deadline passes with no complete line.
+    /// Waits for the next line at most `timeout`, reporting
+    /// [`RecvOutcome::TimedOut`] when the deadline passes with no
+    /// complete line.
     ///
-    /// The default implementation cannot bound the wait — it delegates
-    /// to the blocking [`Transport::recv`] and never times out. Both
-    /// shipped transports override it; a rig that deliberately hangs
-    /// should too, or a timeout-armed coordinator will block on it.
+    /// `Duration::ZERO` is a poll: it returns a complete line that is
+    /// already buffered or readable, and otherwise `TimedOut` at once,
+    /// without ever blocking. A partial frame is kept for the next
+    /// receive either way. The server loop polls its sessions this way
+    /// while campaigns are runnable, so an implementation that blocks
+    /// here stalls the whole fleet.
     ///
     /// # Errors
     ///
     /// Returns [`TransportError`] on broken pipes or I/O failure.
-    fn recv_deadline(&mut self, timeout: Duration) -> Result<RecvOutcome, TransportError> {
-        let _ = timeout;
-        Ok(match self.recv()? {
-            Some(line) => RecvOutcome::Line(line),
-            None => RecvOutcome::Closed,
-        })
-    }
+    fn recv_deadline(&mut self, timeout: Duration) -> Result<RecvOutcome, TransportError>;
 }
 
 /// A mutable borrow of a transport is itself a transport — what lets
@@ -185,6 +181,7 @@ impl Transport for ChannelTransport {
     }
 
     fn recv_deadline(&mut self, timeout: Duration) -> Result<RecvOutcome, TransportError> {
+        // `recv_timeout(Duration::ZERO)` tries the queue once and never blocks.
         Ok(match self.rx.recv_timeout(timeout) {
             Ok(line) => RecvOutcome::Line(line),
             Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
@@ -234,14 +231,37 @@ impl TcpTransport {
     }
 
     /// Arms or disarms the socket read timeout around one receive.
+    ///
+    /// Only for real waits: the kernel rounds `SO_RCVTIMEO` up to whole
+    /// scheduler ticks, so a 1 ms timeout blocks for several ms. A zero
+    /// timeout never gets here — [`TcpTransport::poll`] serves it.
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        // `set_read_timeout(Some(0))` is an invalid argument; the
-        // coordinator's floor is milliseconds anyway, so clamp.
+        // `set_read_timeout(Some(0))` is an invalid argument.
         let timeout = timeout.map(|t| t.max(Duration::from_millis(1)));
         self.reader
             .get_ref()
             .set_read_timeout(timeout)
             .map_err(|e| TransportError::Io(e.to_string()))
+    }
+
+    /// The zero-wait receive: one read pass with `O_NONBLOCK` set. A
+    /// frame already in the read buffer is served from it first (that
+    /// is how `fill_buf` works); otherwise the pass takes whatever the
+    /// socket holds. Blocking mode is restored on every path — the
+    /// writer is a clone of the same socket and shares its file status
+    /// flags, so a flag left set would make a later `send` fail with
+    /// `WouldBlock`.
+    fn poll(&mut self) -> Result<RecvOutcome, TransportError> {
+        let set_nonblocking = |reader: &BufReader<TcpStream>, on: bool| {
+            reader
+                .get_ref()
+                .set_nonblocking(on)
+                .map_err(|e| TransportError::Io(e.to_string()))
+        };
+        set_nonblocking(&self.reader, true)?;
+        let got = read_framed_line_pending(&mut self.reader, &mut self.pending, MAX_FRAME_BYTES);
+        set_nonblocking(&self.reader, false)?;
+        got
     }
 }
 
@@ -373,6 +393,9 @@ impl Transport for TcpTransport {
     }
 
     fn recv_deadline(&mut self, timeout: Duration) -> Result<RecvOutcome, TransportError> {
+        if timeout.is_zero() {
+            return self.poll();
+        }
         // The socket timeout bounds each read, not the whole receive;
         // for the coordinator's loss detector — "has this shard said
         // anything lately" — a per-read bound is exactly the question.
@@ -462,6 +485,122 @@ mod tests {
         // mid-flight: nothing of "hel" was lost.
         assert_eq!(client.recv().unwrap().as_deref(), Some("hello"));
         server.join().unwrap();
+    }
+
+    /// A connected pair on loopback: the transport under test and the
+    /// raw peer socket that feeds it bytes.
+    fn loopback_pair() -> (TcpTransport, std::net::TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let transport = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        (transport, peer)
+    }
+
+    /// Zero-wait polls until something other than `TimedOut` arrives. A
+    /// poll that blocked would hang here instead of spinning.
+    fn poll_until_ready(t: &mut dyn Transport) -> RecvOutcome {
+        loop {
+            match t.recv_deadline(Duration::ZERO).unwrap() {
+                RecvOutcome::TimedOut => std::thread::yield_now(),
+                other => return other,
+            }
+        }
+    }
+
+    #[test]
+    fn tcp_zero_wait_poll_never_blocks_and_keeps_partial_frames() {
+        let (mut client, mut peer) = loopback_pair();
+        assert_eq!(
+            client.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::TimedOut
+        );
+        peer.write_all(b"hel").unwrap();
+        while client.pending.is_empty() {
+            assert_eq!(
+                client.recv_deadline(Duration::ZERO).unwrap(),
+                RecvOutcome::TimedOut
+            );
+            std::thread::yield_now();
+        }
+        peer.write_all(b"lo\nwor").unwrap();
+        assert_eq!(
+            poll_until_ready(&mut client),
+            RecvOutcome::Line("hello".to_string())
+        );
+        peer.write_all(b"ld\n").unwrap();
+        assert_eq!(
+            poll_until_ready(&mut client),
+            RecvOutcome::Line("world".to_string())
+        );
+        drop(peer);
+        assert_eq!(poll_until_ready(&mut client), RecvOutcome::Closed);
+    }
+
+    #[test]
+    fn tcp_zero_wait_poll_serves_buffered_frames_first() {
+        let (mut client, mut peer) = loopback_pair();
+        peer.write_all(b"one\ntwo\n").unwrap();
+        assert_eq!(
+            poll_until_ready(&mut client),
+            RecvOutcome::Line("one".to_string())
+        );
+        // Both frames arrived in one read; the second is served from
+        // the read buffer.
+        assert!(!client.reader.buffer().is_empty());
+        assert_eq!(
+            client.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::Line("two".to_string())
+        );
+        assert_eq!(
+            client.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::TimedOut
+        );
+    }
+
+    #[test]
+    fn tcp_zero_wait_poll_restores_blocking_mode() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut t = TcpTransport::from_stream(stream).unwrap();
+            let line = t.recv().unwrap().unwrap();
+            t.send(&line.len().to_string()).unwrap();
+        });
+        let mut client = TcpTransport::connect(addr).unwrap();
+        assert_eq!(
+            client.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::TimedOut
+        );
+        // The writer shares the reader's file status flags. A frame far
+        // larger than the socket buffers only goes out whole if `send`
+        // blocks, and the reply is only awaited if `recv` blocks.
+        let big = "x".repeat(8 << 20);
+        client.send(&big).unwrap();
+        assert_eq!(client.recv().unwrap(), Some(big.len().to_string()));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn channel_zero_wait_poll_never_blocks() {
+        let (mut a, mut b) = channel_pair();
+        assert_eq!(
+            a.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::TimedOut
+        );
+        b.send("ping").unwrap();
+        assert_eq!(
+            a.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::Line("ping".to_string())
+        );
+        // Blocking use is unaffected by the polls.
+        a.send("pong").unwrap();
+        assert_eq!(b.recv().unwrap().as_deref(), Some("pong"));
+        drop(b);
+        assert_eq!(
+            a.recv_deadline(Duration::ZERO).unwrap(),
+            RecvOutcome::Closed
+        );
     }
 
     #[test]

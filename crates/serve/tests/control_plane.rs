@@ -366,15 +366,15 @@ fn fair_share_interleaves_rounds_and_stays_byte_identical_to_serial() {
     let CampaignResult::Paired { outcome } = plane.result(a).expect("finished") else {
         panic!("paired result expected");
     };
-    assert_eq!(json(outcome), json(&paired_reference(&adaptive_request())));
+    assert_eq!(json(&outcome), json(&paired_reference(&adaptive_request())));
     let CampaignResult::Paired { outcome } = plane.result(b).expect("finished") else {
         panic!("paired result expected");
     };
-    assert_eq!(json(outcome), json(&paired_reference(&uniform_request())));
+    assert_eq!(json(&outcome), json(&paired_reference(&uniform_request())));
     let CampaignResult::Splitting { outcome } = plane.result(c).expect("finished") else {
         panic!("splitting result expected");
     };
-    assert_eq!(json(outcome), json(&split_reference(&splitting)));
+    assert_eq!(json(&outcome), json(&split_reference(&splitting)));
 }
 
 /// A backend that reports a typed fleet-loss fault for the first
@@ -444,7 +444,7 @@ fn the_supervisor_restarts_a_faulting_campaign_without_moving_a_bit() {
         panic!("paired result expected");
     };
     assert_eq!(
-        json(outcome),
+        json(&outcome),
         json(&paired_reference(&adaptive_request())),
         "crash recovery replays the identical jobs — the estimate cannot move"
     );
