@@ -78,6 +78,7 @@ impl AdsbSensor {
 
     /// Produces the report a receiver obtains for `sender`'s true `state`
     /// at time `time_s`, drawing the measurement noise from `rng`.
+    #[inline]
     pub fn observe<R: Rng + ?Sized>(
         &self,
         sender: usize,

@@ -166,6 +166,24 @@ pub trait CollisionAvoider: Send {
         self.decide(&pairwise)
     }
 
+    /// Whether this avoider reads the threat-dependent parts of its
+    /// context: [`AvoiderContext::intruder`] and the coordination
+    /// restriction (`forbidden_sense`, or the `forbidden` set of
+    /// [`decide_multi`](Self::decide_multi)). Defaults to `true`.
+    ///
+    /// An avoider whose decisions never depend on traffic (e.g.
+    /// [`Unequipped`]) may return `false`; the multi-aircraft world then
+    /// skips threat selection and the board read-out for it. Such an
+    /// avoider is still asked to decide every step, but may read only
+    /// `own`, `time_s` and `dt_s`: `intruder` is an unspecified placeholder
+    /// report and the restriction is empty. The answer must not change over
+    /// the avoider's lifetime (worlds cache it at construction). The
+    /// sensor sweep still draws every report, so opting out never moves
+    /// the RNG stream.
+    fn wants_context(&self) -> bool {
+        true
+    }
+
     /// Resets internal state (advisory memory, alert latches) so the value
     /// can be reused for a fresh encounter.
     fn reset(&mut self);
@@ -202,6 +220,10 @@ impl Unequipped {
 impl CollisionAvoider for Unequipped {
     fn decide(&mut self, _ctx: &AvoiderContext<'_>) -> Option<ManeuverCommand> {
         None
+    }
+
+    fn wants_context(&self) -> bool {
+        false
     }
 
     fn reset(&mut self) {}

@@ -50,6 +50,8 @@ mod avoider;
 mod cohort;
 mod config;
 mod coordination;
+#[cfg(test)]
+mod equivalence;
 mod monitors;
 mod multi;
 mod outcome;

@@ -20,17 +20,28 @@ pub fn nmac_severity(horizontal_ft: f64, vertical_ft: f64) -> f64 {
 
 /// The paper's *Proximity Measurer*: tracks per-step separations and the
 /// minima experienced so far in a run.
+///
+/// The horizontal and 3-D minima are kept as squared distances and a
+/// square root is taken only when one of them improves. That is exact,
+/// not an approximation: `sqrt` is monotone and correctly rounded, so
+/// `min √x = √(min x)`, and the squares are formed in the order the
+/// distances were always computed in (`dx·dx + dy·dy`, then `+ dz·dz`).
+/// The closest-approach time keeps its strict `<` rule on the *root*:
+/// an observation whose square improves but whose root ties the current
+/// minimum does not move `time_of_min_s`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProximityMeasurer {
+    /// Smallest squared horizontal separation seen, ft².
+    min_horizontal_sq: f64,
+    /// `√min_horizontal_sq`.
     min_horizontal_ft: f64,
     min_vertical_ft: f64,
+    /// Smallest squared 3-D separation seen, ft².
+    min_separation_sq: f64,
+    /// `√min_separation_sq`.
     min_separation_ft: f64,
     /// Time at which the smallest 3-D separation was observed.
     time_of_min_s: f64,
-    /// Smallest *simultaneous* NMAC severity seen at any observed point
-    /// (unlike `min_horizontal_ft`/`min_vertical_ft`, which are minima of
-    /// different observations and therefore not jointly attained).
-    min_severity: f64,
 }
 
 impl Default for ProximityMeasurer {
@@ -43,26 +54,36 @@ impl ProximityMeasurer {
     /// Creates a measurer with no observations yet.
     pub fn new() -> Self {
         Self {
+            min_horizontal_sq: f64::INFINITY,
             min_horizontal_ft: f64::INFINITY,
             min_vertical_ft: f64::INFINITY,
+            min_separation_sq: f64::INFINITY,
             min_separation_ft: f64::INFINITY,
             time_of_min_s: 0.0,
-            min_severity: f64::INFINITY,
         }
     }
 
     /// Records the separation between the two aircraft at time `time_s`.
+    #[inline]
     pub fn observe(&mut self, a: &UavState, b: &UavState, time_s: f64) {
-        let horizontal = a.position.horizontal_distance(b.position);
-        let vertical = (a.position.z - b.position.z).abs();
-        let separation = a.position.distance(b.position);
-        self.min_horizontal_ft = self.min_horizontal_ft.min(horizontal);
-        self.min_vertical_ft = self.min_vertical_ft.min(vertical);
-        if separation < self.min_separation_ft {
-            self.min_separation_ft = separation;
-            self.time_of_min_s = time_s;
+        let dx = a.position.x - b.position.x;
+        let dy = a.position.y - b.position.y;
+        let dz = a.position.z - b.position.z;
+        let horizontal_sq = dx * dx + dy * dy;
+        let separation_sq = horizontal_sq + dz * dz;
+        if horizontal_sq < self.min_horizontal_sq {
+            self.min_horizontal_sq = horizontal_sq;
+            self.min_horizontal_ft = horizontal_sq.sqrt();
         }
-        self.min_severity = self.min_severity.min(nmac_severity(horizontal, vertical));
+        self.min_vertical_ft = self.min_vertical_ft.min(dz.abs());
+        if separation_sq < self.min_separation_sq {
+            self.min_separation_sq = separation_sq;
+            let separation = separation_sq.sqrt();
+            if separation < self.min_separation_ft {
+                self.min_separation_ft = separation;
+                self.time_of_min_s = time_s;
+            }
+        }
     }
 
     /// Smallest horizontal separation seen so far, ft.
@@ -84,14 +105,6 @@ impl ProximityMeasurer {
     /// Time of the closest point of approach observed, s.
     pub fn time_of_min_s(&self) -> f64 {
         self.time_of_min_s
-    }
-
-    /// Smallest NMAC severity (see [`nmac_severity`]) attained at any
-    /// observed point so far. Starts at `∞`; monotonically
-    /// non-increasing over a run, which is what makes "first crossing of
-    /// threshold `t`" a well-defined splitting checkpoint.
-    pub fn min_severity(&self) -> f64 {
-        self.min_severity
     }
 }
 
@@ -156,20 +169,22 @@ mod tests {
 
     #[test]
     fn severity_is_simultaneous_not_componentwise() {
-        let mut p = ProximityMeasurer::new();
+        // The severity minimum folds each observation's *joint* severity,
+        // as `EncounterWorld::min_severity` does.
+        let mut min = f64::INFINITY;
+        let mut observe = |horizontal: f64, vertical: f64| {
+            min = min.min(nmac_severity(horizontal, vertical));
+            min
+        };
         // Horizontally close but vertically far: severity from the
         // vertical term, 400/100 = 4.
-        p.observe(&at(0.0, 0.0, 0.0), &at(100.0, 0.0, 400.0), 0.0);
-        assert!((p.min_severity() - 4.0).abs() < 1e-12);
+        assert!((observe(100.0, 400.0) - 4.0).abs() < 1e-12);
         // Vertically close but horizontally far: 2000/500 = 4 again —
-        // even though min_horizontal and min_vertical are now both tiny,
-        // no single observation was jointly close.
-        p.observe(&at(0.0, 0.0, 0.0), &at(2000.0, 0.0, 10.0), 1.0);
-        assert!((p.min_severity() - 4.0).abs() < 1e-12);
+        // even though the horizontal and vertical minima are now both
+        // small, no single observation was jointly close.
+        assert!((observe(2000.0, 10.0) - 4.0).abs() < 1e-12);
         // A jointly close point: max(300/500, 50/100) = 0.6 < 1 ⇒ NMAC.
-        p.observe(&at(0.0, 0.0, 0.0), &at(300.0, 0.0, 50.0), 2.0);
-        assert!((p.min_severity() - 0.6).abs() < 1e-12);
-        assert!(p.min_severity() < 1.0);
+        assert!((observe(300.0, 50.0) - 0.6).abs() < 1e-12);
     }
 
     #[test]

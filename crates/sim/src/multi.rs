@@ -29,7 +29,10 @@
 //! 2. threat selection is trivial (one candidate each), the board
 //!    read-out equals the two-party board's `restriction_for` for every
 //!    posting combination (proved exhaustively in the coordination
-//!    tests), and decisions consume no randomness;
+//!    tests), and decisions consume no randomness. Avoiders that opt out
+//!    of threat context ([`CollisionAvoider::wants_context`]) skip both
+//!    and decide exactly as they would on the real context, which they
+//!    do not read;
 //! 3. dynamics step aircraft 0 then aircraft 1 (one gust draw each);
 //! 4. the single pair (0, 1) is monitored with the same continuous
 //!    segment checks on the same relative motion.
@@ -195,6 +198,10 @@ pub struct MultiEncounterWorld {
     mode: MultiMode,
     uavs: Vec<UavBody>,
     avoiders: Vec<Box<dyn CollisionAvoider>>,
+    /// Each avoider's [`CollisionAvoider::wants_context`], cached at
+    /// construction: aircraft whose avoider reads no threat context skip
+    /// threat selection and the board read-out.
+    wants_context: Vec<bool>,
     board: MultiCoordinationBoard,
     sensor: AdsbSensor,
     /// Per-pair monitors, [`pair_index`] order.
@@ -202,8 +209,9 @@ pub struct MultiEncounterWorld {
     pair_nmac: Vec<bool>,
     pair_first_nmac_time_s: Vec<Option<f64>>,
     /// Receiver-major report matrix: slot `receiver · n + sender` holds
-    /// the report `receiver` got from `sender` this step (diagonal
-    /// slots are never written after construction nor read).
+    /// the report `receiver` got from `sender` this step. Diagonal slots
+    /// are never written after construction; they hold the placeholder
+    /// report handed to avoiders that opted out of threat context.
     reports: Vec<AdsbReport>,
     /// Scratch buffers for the dynamics phase (positions before/after).
     before: Vec<crate::Vec3>,
@@ -248,6 +256,7 @@ impl MultiEncounterWorld {
                 .iter()
                 .map(|&s| UavBody::new(s, UavPerformance::default()))
                 .collect(),
+            wants_context: avoiders.iter().map(|a| a.wants_context()).collect(),
             avoiders,
             board: MultiCoordinationBoard::new(n),
             sensor,
@@ -377,7 +386,10 @@ impl MultiEncounterWorld {
         // 1. ADS-B broadcast, receiver-major: each receiver gets an
         //    independent noisy draw of every other aircraft. At k = 2
         //    this is the scalar order: receiver 0 observes sender 1,
-        //    then receiver 1 observes sender 0.
+        //    then receiver 1 observes sender 0. The sweep draws from a
+        //    local copy of the RNG so its state can live in registers
+        //    across the 6k(k − 1) normals; the copy is written back after.
+        let mut rng = self.rng.clone();
         for receiver in 0..n {
             for sender in 0..n {
                 if sender != receiver {
@@ -385,45 +397,42 @@ impl MultiEncounterWorld {
                         sender,
                         self.uavs[sender].state(),
                         self.time_s,
-                        &mut self.rng,
+                        &mut rng,
                     );
                 }
             }
         }
+        self.rng = rng;
 
-        // 2. Decisions in id order under the restrictions in force.
+        // 2. Decisions in id order under the restrictions in force. An
+        //    avoider that reads no threat context gets the diagonal
+        //    placeholder report and no restriction (see
+        //    `CollisionAvoider::wants_context`).
+        let coordination = self.config.coordination;
         for id in 0..n {
-            let threat = self.select_threat(id);
-            let own_state = *self.uavs[id].state();
-            let report = self.reports[id * n + threat];
+            let threat = self.wants_context[id].then(|| self.select_threat(id));
+            let ctx = AvoiderContext {
+                own: self.uavs[id].state(),
+                intruder: &self.reports[id * n + threat.unwrap_or(id)],
+                forbidden_sense: None,
+                time_s: self.time_s,
+                dt_s: dt,
+            };
             let command = match self.mode {
                 MultiMode::Pairwise => {
-                    let forbidden = if self.config.coordination {
-                        self.board.restriction_between(id, threat)
-                    } else {
-                        None
+                    let forbidden_sense = match threat {
+                        Some(threat) if coordination => self.board.restriction_between(id, threat),
+                        _ => None,
                     };
-                    let ctx = AvoiderContext {
-                        own: &own_state,
-                        intruder: &report,
-                        forbidden_sense: forbidden,
-                        time_s: self.time_s,
-                        dt_s: dt,
-                    };
-                    self.avoiders[id].decide(&ctx)
+                    self.avoiders[id].decide(&AvoiderContext {
+                        forbidden_sense,
+                        ..ctx
+                    })
                 }
                 MultiMode::Coordinated => {
-                    let forbidden = if self.config.coordination {
-                        self.board.forbidden_set(id)
-                    } else {
-                        SenseSet::NONE
-                    };
-                    let ctx = AvoiderContext {
-                        own: &own_state,
-                        intruder: &report,
-                        forbidden_sense: None,
-                        time_s: self.time_s,
-                        dt_s: dt,
+                    let forbidden = match threat {
+                        Some(_) if coordination => self.board.forbidden_set(id),
+                        _ => SenseSet::NONE,
                     };
                     self.avoiders[id].decide_multi(&ctx, forbidden)
                 }
@@ -454,16 +463,15 @@ impl MultiEncounterWorld {
         // 3. Coordination messages posted this step bind from next step.
         self.board.commit();
 
-        // 4. Dynamics under disturbance, id order.
-        for (i, body) in self.uavs.iter().enumerate() {
+        // 4. Dynamics under disturbance, id order, again from a local RNG
+        //    copy written back after the phase.
+        let mut rng = self.rng.clone();
+        for (i, body) in self.uavs.iter_mut().enumerate() {
             self.before[i] = body.state().position;
-        }
-        for body in &mut self.uavs {
-            body.step(dt, &self.config.disturbance, &mut self.rng);
-        }
-        for (i, body) in self.uavs.iter().enumerate() {
+            body.step(dt, &self.config.disturbance, &mut rng);
             self.after[i] = body.state().position;
         }
+        self.rng = rng;
 
         // 5. Continuous per-pair monitoring along the step's motion.
         for (idx, (a, b)) in pairs(n).enumerate() {

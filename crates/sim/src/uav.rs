@@ -133,6 +133,7 @@ impl UavBody {
 
     /// Advances the body by `dt` seconds, applying command tracking and the
     /// environment disturbance drawn from `rng`.
+    #[inline]
     pub fn step<R: Rng + ?Sized>(&mut self, dt: f64, disturbance: &DisturbanceModel, rng: &mut R) {
         // Respond to the vertical command: after the response delay, move
         // the vertical rate toward the target under the acceleration limit.

@@ -2,9 +2,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    AdsbSensor, AvoiderContext, CollisionAvoider, CoordinationBoard, EncounterOutcome,
-    ProximityMeasurer, Sense, SimConfig, Trace, UavBody, UavPerformance, UavState, Vec3,
-    NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT,
+    nmac_severity, AdsbSensor, AvoiderContext, CollisionAvoider, CoordinationBoard,
+    EncounterOutcome, ProximityMeasurer, Sense, SimConfig, Trace, UavBody, UavPerformance,
+    UavState, Vec3, NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT,
 };
 
 /// The two-UAV encounter world: the headless agent-based simulation loop
@@ -24,6 +24,11 @@ pub struct EncounterWorld {
     board: CoordinationBoard,
     sensor: AdsbSensor,
     proximity: ProximityMeasurer,
+    /// Smallest *simultaneous* NMAC severity seen at any observed point
+    /// (unlike the measurer's horizontal/vertical minima, which are minima
+    /// of different observations and therefore not jointly attained). Only
+    /// importance splitting reads it, so only this world tracks it.
+    min_severity: f64,
     nmac: bool,
     first_nmac_time_s: Option<f64>,
     trace: Trace,
@@ -65,6 +70,7 @@ pub struct WorldSnapshot {
     board: CoordinationBoard,
     sensor: AdsbSensor,
     proximity: ProximityMeasurer,
+    min_severity: f64,
     nmac: bool,
     first_nmac_time_s: Option<f64>,
     trace: Trace,
@@ -88,6 +94,7 @@ impl Clone for WorldSnapshot {
             board: self.board,
             sensor: self.sensor,
             proximity: self.proximity,
+            min_severity: self.min_severity,
             nmac: self.nmac,
             first_nmac_time_s: self.first_nmac_time_s,
             trace: self.trace.clone(),
@@ -142,6 +149,7 @@ impl EncounterWorld {
             board: CoordinationBoard::new(),
             sensor,
             proximity: ProximityMeasurer::new(),
+            min_severity: f64::INFINITY,
             nmac: false,
             first_nmac_time_s: None,
             trace: Trace::new(),
@@ -176,6 +184,7 @@ impl EncounterWorld {
         ];
         self.board.reset();
         self.proximity = ProximityMeasurer::new();
+        self.min_severity = f64::INFINITY;
         self.nmac = false;
         self.first_nmac_time_s = None;
         self.trace = Trace::new();
@@ -199,6 +208,7 @@ impl EncounterWorld {
             board: self.board,
             sensor: self.sensor,
             proximity: self.proximity,
+            min_severity: self.min_severity,
             nmac: self.nmac,
             first_nmac_time_s: self.first_nmac_time_s,
             trace: self.trace.clone(),
@@ -225,6 +235,7 @@ impl EncounterWorld {
         self.board = snap.board;
         self.sensor = snap.sensor;
         self.proximity = snap.proximity;
+        self.min_severity = snap.min_severity;
         self.nmac = snap.nmac;
         self.first_nmac_time_s = snap.first_nmac_time_s;
         self.trace = snap.trace.clone();
@@ -267,10 +278,19 @@ impl EncounterWorld {
         self.nmac
     }
 
-    /// Smallest NMAC severity observed so far (see
-    /// [`crate::nmac_severity`]); `∞` before [`begin`](Self::begin).
+    /// Smallest NMAC severity (see [`crate::nmac_severity`]) attained at
+    /// any observed point so far; `∞` before [`begin`](Self::begin).
+    /// Monotonically non-increasing over a run, which is what makes "first
+    /// crossing of threshold `t`" a well-defined splitting checkpoint.
     pub fn min_severity(&self) -> f64 {
-        self.proximity.min_severity()
+        self.min_severity
+    }
+
+    /// Feeds one observation of the pair to the proximity measurer and
+    /// the severity minimum.
+    fn observe(&mut self, a: &UavState, b: &UavState, time_s: f64) {
+        self.proximity.observe(a, b, time_s);
+        self.min_severity = self.min_severity.min(observed_severity(a, b));
     }
 
     /// The current state of aircraft `id`.
@@ -374,9 +394,9 @@ impl EncounterWorld {
             self.uavs[1].state().velocity,
         );
         debug_assert!((own_interp.position.distance(intr_interp.position) - d_min).abs() < 1e-6);
-        self.proximity.observe(&own_interp, &intr_interp, t_at_min);
-        self.proximity
-            .observe(self.uavs[0].state(), self.uavs[1].state(), self.time_s + dt);
+        self.observe(&own_interp, &intr_interp, t_at_min);
+        let (own, intr) = (*self.uavs[0].state(), *self.uavs[1].state());
+        self.observe(&own, &intr, self.time_s + dt);
         if !self.nmac {
             if let Some(s) = segment_nmac(rel0, rel1) {
                 self.nmac = true;
@@ -395,8 +415,8 @@ impl EncounterWorld {
     /// [`step`](Self::step) / [`advance_to_severity`](Self::advance_to_severity).
     pub fn begin(&mut self) {
         // Observe the initial geometry so instant conflicts are counted.
-        self.proximity
-            .observe(self.uavs[0].state(), self.uavs[1].state(), 0.0);
+        let (own, intr) = (*self.uavs[0].state(), *self.uavs[1].state());
+        self.observe(&own, &intr, 0.0);
         let rel = self.uavs[0].state().position - self.uavs[1].state().position;
         if rel.horizontal_norm() < NMAC_HORIZONTAL_FT && rel.z.abs() < NMAC_VERTICAL_FT {
             self.nmac = true;
@@ -415,7 +435,7 @@ impl EncounterWorld {
     pub fn advance_to_severity(&mut self, threshold: f64) -> usize {
         let total = self.config.num_steps();
         let mut taken = 0;
-        while self.steps_done < total && !self.nmac && self.proximity.min_severity() >= threshold {
+        while self.steps_done < total && !self.nmac && self.min_severity >= threshold {
             self.step();
             taken += 1;
         }
@@ -448,6 +468,13 @@ impl EncounterWorld {
             duration_s: self.time_s,
         }
     }
+}
+
+/// The NMAC severity of one observed pair of states.
+pub(crate) fn observed_severity(a: &UavState, b: &UavState) -> f64 {
+    let horizontal = a.position.horizontal_distance(b.position);
+    let vertical = (a.position.z - b.position.z).abs();
+    nmac_severity(horizontal, vertical)
 }
 
 /// Minimum separation along the straight-line relative motion from `rel0`
